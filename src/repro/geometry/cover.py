@@ -16,11 +16,12 @@ production path is :class:`CoverRegion`, which keeps its points in a columnar
 :func:`repro.kernels.cover_carve` — dispatched per call by cover size, so
 small covers stay on the early-exit loops and bulk carves go vectorized.
 
-The FR* variant additionally skylines the result.  Note a deliberate
-deviation documented in DESIGN.md: the paper skylines only the new points
-``S⁺``, but for ``e >= 3`` a new point can dominate a surviving old point, so
-we skyline the full union.  Dropping dominated cover points never changes the
-covered region, hence every correctness/tightness property is preserved.
+The FR* variant additionally skylines the result, which keeps the cover an
+antichain.  From an antichain, skylining the new points ``S⁺`` alone (as the
+paper does) is exact (DESIGN.md §5): (a) no survivor ``u`` weakly dominates a
+projection ``p``, since ``p ⪰ y`` and ``u ⪰ p`` would mean ``u ⪰ y``; (b) no
+projection strictly dominates a survivor, since ``p ≤ s`` and ``p ≻ u`` would
+mean ``s ≻ u``.  The oracle below still checks both; the kernels skip them.
 """
 
 from __future__ import annotations
@@ -100,7 +101,9 @@ class CoverRegion:
 
     Starts as ``{(1, …, 1)}`` — everything is feasible before any group
     completes — and shrinks through :meth:`update` calls.  With
-    ``skyline_mode=True`` the point set is kept as a skyline (FR* behaviour).
+    ``skyline_mode=True`` the point set is kept as a skyline (FR* behaviour);
+    the carve kernels rely on it being an antichain, which holds by
+    induction from ``{(1, …, 1)}`` (the point set is never set otherwise).
 
     The point set lives in a columnar :class:`~repro.kernels.PointSet` and
     each :meth:`update` is a single :func:`repro.kernels.cover_carve` batch
@@ -145,7 +148,7 @@ class CoverRegion:
             if len(y) != self.dimension:
                 raise ValueError(
                     f"dimension mismatch: cover is {self.dimension}-d, "
-                    f"point is {(len(y),)}-d"
+                    f"point is {len(y)}-d"
                 )
         if not batch or not len(self._ps):
             return

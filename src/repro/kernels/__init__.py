@@ -397,7 +397,11 @@ def cross_product_max(left, right) -> float:
 
 
 def cover_carve(cover, observed, *, skyline_mode: bool = False):
-    """``FR::UpdateCR`` (``FR*`` with ``skyline_mode``): new cover points."""
+    """``FR::UpdateCR`` (``FR*`` with ``skyline_mode``): new cover points.
+
+    ``skyline_mode`` requires ``cover`` to be an antichain (as every FR*
+    cover grown from ``{1^e}`` is) and keeps the result one.
+    """
     return _call("cover_carve", cover, observed, skyline_mode=skyline_mode)
 
 
@@ -412,7 +416,10 @@ def antichain(cells):
 
 
 def grid_carve(cells, point, resolution: int):
-    """``aFR::UpdateGridCR`` for one vector: ``(new_cells, changed)``."""
+    """``aFR::UpdateGridCR`` for one vector: ``(new_cells, changed)``.
+
+    ``cells`` must be an antichain (the grid tree keeps its marked set one).
+    """
     return _call("grid_carve", cells, point, resolution)
 
 

@@ -29,7 +29,8 @@ from importlib.util import find_spec
 from math import ceil
 
 from repro.kernels.pointset import HAS_NUMPY, PointSet
-from repro.kernels.types import Cell, Point, as_point, substitute
+from repro.kernels.reference import carve_projections
+from repro.kernels.types import Cell, Point, as_point
 
 try:  # pragma: no cover - exercised implicitly on import
     HAS_NUMBA = HAS_NUMPY and find_spec("numba") is not None
@@ -111,22 +112,6 @@ def _k_strict_mask(arr, q):
                 strict = True
         out[i] = ok and strict
     return out
-
-
-def _k_any_strict_over(arr, q):
-    """True if some row strictly dominates q (row >= q, row != q)."""
-    for i in range(arr.shape[0]):
-        ok = True
-        strict = False
-        for j in range(arr.shape[1]):
-            if not arr[i, j] >= q[j]:
-                ok = False
-                break
-            if arr[i, j] != q[j]:
-                strict = True
-        if ok and strict:
-            return True
-    return False
 
 
 def _k_skyline(arr):
@@ -326,46 +311,23 @@ class CompiledBackend:
     def cover_carve(
         self, cover, observed, *, skyline_mode: bool = False
     ) -> list[Point]:
-        """Reference orchestration; jitted dominance scans inside."""
+        """Reference orchestration; a jitted scan finds the carved points."""
         current = [as_point(p) for p in _arr(cover).tolist()] \
             if not isinstance(cover, list) else [as_point(p) for p in cover]
         for raw in observed:
             y = as_point(raw)
             if not current:
                 break
-            cur_arr = np.asarray(current, dtype=np.float64)
-            target = np.asarray(y, dtype=np.float64)
-            mask = _jit(_k_weak_mask)(cur_arr, target)
-            if not mask.any():
-                continue
-            removed = [p for p, hit in zip(current, mask) if hit]
-            survivors = [p for p, hit in zip(current, mask) if not hit]
-            projected: set[Point] = set()
-            for s in removed:
-                for axis, value in enumerate(y):
-                    candidate = substitute(s, axis, value)
-                    if all(coord > 0.0 for coord in candidate):
-                        projected.add(candidate)
-            fresh = sorted(projected)
-            if skyline_mode:
-                fresh = [fresh[i] for i in self.skyline_filter(fresh)]
-                if survivors and fresh:
-                    surv_arr = np.asarray(survivors, dtype=np.float64)
-                    fresh = [
-                        p for p in fresh
-                        if not _jit(_k_any_weak)(
-                            surv_arr, np.asarray(p, dtype=np.float64)
-                        )
-                    ]
-                if survivors and fresh:
-                    fresh_arr = np.asarray(fresh, dtype=np.float64)
-                    survivors = [
-                        s for s in survivors
-                        if not _jit(_k_any_strict_over)(
-                            fresh_arr, np.asarray(s, dtype=np.float64)
-                        )
-                    ]
-            current = survivors + fresh
+            mask = _jit(_k_weak_mask)(
+                np.asarray(current, dtype=np.float64),
+                np.asarray(y, dtype=np.float64),
+            )
+            if mask.any():
+                current = [
+                    p for p, hit in zip(current, mask) if not hit
+                ] + carve_projections(
+                    [p for p, hit in zip(current, mask) if hit], y, skyline_mode
+                )
         return current
 
     # ------------------------------------------------------------------
@@ -420,14 +382,6 @@ class CompiledBackend:
                 c for c in fresh
                 if not _jit(_k_any_weak)(
                     surv_arr, np.asarray(c, dtype=np.float64)
-                )
-            ]
-        if survivors and fresh:
-            fresh_arr = np.asarray(fresh, dtype=np.float64)
-            survivors = [
-                s for s in survivors
-                if not _jit(_k_any_strict_over)(
-                    fresh_arr, np.asarray(s, dtype=np.float64)
                 )
             ]
         return survivors + fresh, True

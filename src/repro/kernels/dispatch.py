@@ -290,7 +290,27 @@ def synthetic_points(n: int, e: int = 3) -> list[tuple[float, ...]]:
     ]
 
 
-def _point_set(n: int, e: int = 3):
+def synthetic_antichain(n: int, e: int = 3) -> list[tuple[float, ...]]:
+    """``n`` distinct points of ``(0, 1]^e`` (``e >= 2``) on ``Σx = 1``.
+
+    No point of a plane dominates another, so this is an antichain: the
+    shape every FR*/aFR cover keeps, which :func:`synthetic_points` is
+    not.  The first ``e - 1`` coordinates are a rank-1 lattice of exact
+    multiples of ``1/scale``; the last one closes the sum.
+    """
+    m = max(n, 2)
+    scale = (e - 1) * m + 1
+    step = round(0.618 * m) | 1
+    rows = []
+    for i in range(n):
+        digits = [1 + i * step**j % m for j in range(e - 1)]
+        rows.append(
+            tuple(d / scale for d in digits) + ((scale - sum(digits)) / scale,)
+        )
+    return rows
+
+
+def _point_set(n: int, e: int = 3, make=synthetic_points):
     """Points wrapped the way the geometry layer feeds the kernels.
 
     The hot path hands kernels a columnar :class:`PointSet` whose array
@@ -300,7 +320,7 @@ def _point_set(n: int, e: int = 3):
     """
     from repro.kernels.pointset import PointSet
 
-    return PointSet(e, synthetic_points(n, e))
+    return PointSet(e, make(n, e))
 
 
 def synthetic_cells(n: int, e: int = 3, resolution: int = 8) -> list[tuple[int, ...]]:
@@ -328,9 +348,11 @@ ARG_BUILDERS: dict[str, Callable[[int], tuple]] = {
         [v / _side(n) for v in range(_side(n))],
         [v / _side(n) for v in range(_side(n))],
     ),
+    # An antichain cover; the observed vector carves about 7% of it, the
+    # share FR* carves per call in paper-topk (a median 7 of ~120 at e=3).
     "cover_carve": lambda n: (
-        _point_set(max(n - 1, 1)),
-        [(0.5, 0.5, 0.5)],
+        _point_set(max(n - 1, 1), make=synthetic_antichain),
+        [(0.27, 0.27, 0.27)],
     ),
     "grid_cell_assign": lambda n: (_point_set(n), 8),
     "antichain": lambda n: (synthetic_cells(n),),

@@ -19,7 +19,7 @@ from math import ceil
 from collections.abc import Sequence
 
 from repro.kernels.pointset import PointSet
-from repro.kernels.types import Cell, Point, as_point, substitute
+from repro.kernels.types import Cell, Point, as_point
 
 NEG_INF = float("-inf")
 
@@ -50,6 +50,44 @@ def _strict_dom(a: Sequence[float], b: Sequence[float]) -> bool:
         if ai != bi:
             strict = True
     return strict
+
+
+def carve_projections(
+    removed: Sequence[Point], y: Point, skyline: bool
+) -> list[Point]:
+    """The fresh cover points of one carve, sorted (shared by every tier).
+
+    ``removed`` holds the cover points weakly dominating ``y``; the fresh
+    points are their projections ``s[i ↦ y_i]`` with every coordinate
+    positive, deduplicated.  From an antichain cover no survivor ``u``
+    needs checking against them: ``u ⪰ p`` would give ``u ⪰ y``, and
+    ``p ≻ u`` would give ``s ≻ u`` (since ``p ≤ s``).  So the FR*
+    ``skyline`` only resolves projections among themselves, and as every
+    projection weakly dominates ``y``, ``q`` can dominate ``p`` only where
+    ``p_i == y_i == q_i``: one sort-and-sweep per hyperplane ``x_i = y_i``.
+    """
+    axes = list(enumerate(y))
+    fresh = {
+        s[:axis] + (value,) + s[axis + 1:] for s in removed for axis, value in axes
+    }
+    if not min(y, default=1.0) > 0.0:
+        # Each ``s ⪰ y`` holds no NaN, and a coordinate of a projection is
+        # non-positive only if some ``y_i`` is.
+        fresh = {p for p in fresh if min(p) > 0.0}
+    if skyline and len(fresh) > 1:
+        dominated: set[Point] = set()
+        for axis, value in axes:
+            # Descending order puts every dominator before what it covers.
+            kept: list[Point] = []
+            for p in sorted([p for p in fresh if p[axis] == value], reverse=True):
+                for k in kept:
+                    if _weak_dom(k, p):
+                        dominated.add(p)
+                        break
+                else:
+                    kept.append(p)
+        fresh -= dominated
+    return sorted(fresh)
 
 
 class ReferenceBackend:
@@ -165,41 +203,20 @@ class ReferenceBackend:
     ) -> list[Point]:
         """Carve the regions dominating each observed vector out of ``cover``.
 
-        Returns the new cover point list.  With ``skyline_mode`` the result
-        is kept an antichain (FR* behaviour); new points are considered in
-        sorted order so both backends emit identical sets deterministically.
+        Returns the new cover point list: the survivors in order, then the
+        sorted fresh points of :func:`carve_projections`.  With
+        ``skyline_mode`` (FR*) the cover must be an antichain — as every
+        cover grown from ``{1^e}`` is — and the result stays one.
         """
         current = _rows(cover)
         for raw in observed:
             y = as_point(raw)
-            if not current:
-                break
-            removed = [s for s in current if _weak_dom(s, y)]
-            if not removed:
-                continue
-            survivors = [s for s in current if not _weak_dom(s, y)]
-            projected: set[Point] = set()
-            for s in removed:
-                for axis, value in enumerate(y):
-                    candidate = substitute(s, axis, value)
-                    if all(coord > 0.0 for coord in candidate):
-                        projected.add(candidate)
-            fresh = sorted(projected)
-            if skyline_mode:
-                # Survivors are an antichain by induction: only new-vs-new
-                # and new-vs-survivor dominations need resolving.
-                fresh = [fresh[i] for i in self.skyline_filter(fresh)]
-                fresh = [
-                    p
-                    for p in fresh
-                    if not any(_weak_dom(s, p) for s in survivors)
-                ]
-                survivors = [
-                    s
-                    for s in survivors
-                    if not any(_strict_dom(p, s) for p in fresh)
-                ]
-            current = survivors + fresh
+            survivors: list[Point] = []
+            removed: list[Point] = []
+            for s in current:
+                (removed if _weak_dom(s, y) else survivors).append(s)
+            if removed:
+                current = survivors + carve_projections(removed, y, skyline_mode)
         return current
 
     # ------------------------------------------------------------------
@@ -267,11 +284,12 @@ class ReferenceBackend:
                 slid[axis] = m[axis] - 1
                 if all(coord >= 0 for coord in slid):
                     projected.add(tuple(slid))
-        fresh = self.antichain(sorted(projected))
+        # The ``m - 1`` shift lets a survivor dominate a fresh cell, but a
+        # fresh cell sits below its source cell, so from an antichain it
+        # never strictly dominates a survivor.
         fresh = [
-            c for c in fresh if not any(_weak_dom(s, c) for s in survivors)
-        ]
-        survivors = [
-            s for s in survivors if not any(_strict_dom(c, s) for c in fresh)
+            c
+            for c in self.antichain(sorted(projected))
+            if not any(_weak_dom(s, c) for s in survivors)
         ]
         return survivors + fresh, True

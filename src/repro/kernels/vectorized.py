@@ -9,7 +9,9 @@ construction:
   loops — never a pairwise/blocked reduction that could round differently;
 * set-producing kernels (covers, antichains) emit the same point sets
   (order may differ only where the consumer is order-insensitive, and the
-  deterministic paths sort exactly like the reference).
+  deterministic paths sort exactly like the reference);
+* the cover carve finds the carved points with one broadcast, then shares
+  the reference's projection step for the few points it carved.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.kernels.pointset import PointSet
+from repro.kernels.reference import carve_projections
+from repro.kernels.types import as_point
 
 NEG_INF = float("-inf")
 
@@ -164,43 +168,22 @@ class NumpyBackend:
     def cover_carve(
         self, cover, observed, *, skyline_mode: bool = False
     ) -> np.ndarray:
-        current = _arr(cover)
-        if current.shape[0]:
-            current = current.copy()
+        current = _arr(cover).copy()
         dimension = current.shape[1]
         for raw in observed:
-            y = np.asarray(tuple(raw), dtype=np.float64)
             if not current.shape[0]:
                 break
-            removed_mask = (current >= y).all(axis=1)
-            if not removed_mask.any():
+            y = as_point(raw)
+            removed = (current >= y).all(axis=1)
+            if not removed.any():
                 continue
-            removed = current[removed_mask]
-            survivors = current[~removed_mask]
-            # Project each removed point one coordinate down onto y.
-            projected = np.repeat(removed, dimension, axis=0)
-            cols = np.tile(np.arange(dimension), removed.shape[0])
-            projected[np.arange(projected.shape[0]), cols] = y[cols]
-            projected = projected[(projected > 0.0).all(axis=1)]
-            projected = np.unique(projected, axis=0)
-            if skyline_mode and projected.shape[0]:
-                fresh = projected[self.skyline_filter(projected)]
-                if survivors.shape[0] and fresh.shape[0]:
-                    dominated_new = (
-                        (survivors[:, None, :] >= fresh[None, :, :])
-                        .all(axis=2)
-                        .any(axis=0)
-                    )
-                    fresh = fresh[~dominated_new]
-                if survivors.shape[0] and fresh.shape[0]:
-                    strictly = (
-                        (fresh[:, None, :] >= survivors[None, :, :]).all(axis=2)
-                        & (fresh[:, None, :] > survivors[None, :, :]).any(axis=2)
-                    ).any(axis=0)
-                    survivors = survivors[~strictly]
-                current = np.concatenate([survivors, fresh], axis=0)
-            else:
-                current = np.concatenate([survivors, projected], axis=0)
+            fresh = carve_projections(
+                [tuple(s) for s in current[removed].tolist()], y, skyline_mode
+            )
+            current = np.concatenate([
+                current[~removed],
+                np.array(fresh, dtype=np.float64).reshape(len(fresh), dimension),
+            ])
         return current
 
     # ------------------------------------------------------------------
@@ -244,10 +227,4 @@ class NumpyBackend:
                 (survivors[:, None, :] >= fresh[None, :, :]).all(axis=2).any(axis=0)
             )
             fresh = fresh[~dominated_new]
-        if survivors.shape[0] and fresh.shape[0]:
-            strictly = (
-                (fresh[:, None, :] >= survivors[None, :, :]).all(axis=2)
-                & (fresh[:, None, :] > survivors[None, :, :]).any(axis=2)
-            ).any(axis=0)
-            survivors = survivors[~strictly]
         return np.concatenate([survivors, fresh], axis=0), True

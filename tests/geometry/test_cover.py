@@ -132,6 +132,17 @@ class TestCoverRegion:
         with pytest.raises(ValueError):
             CoverRegion(-1)
 
+    def test_update_dimension_mismatch_names_both_dimensions(self):
+        import pytest
+
+        region = CoverRegion(2)
+        with pytest.raises(ValueError) as raised:
+            region.update([(0.5, 0.5, 0.5)])
+        assert str(raised.value) == (
+            "dimension mismatch: cover is 2-d, point is 3-d"
+        )
+        assert region.points == [(1.0, 1.0)]
+
     def test_update_shrinks_region(self):
         region = CoverRegion(2)
         region.update([(0.5, 0.5)])

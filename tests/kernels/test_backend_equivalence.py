@@ -155,6 +155,61 @@ class TestCoverOps:
         check(bool, kernels.dominates_any, list(carved), probe)
 
 
+def carve_steps(dims=(2, 3, 4)):
+    """``(e, [batch, …])``: a multi-step carve sequence of 1–3 point batches."""
+    return st.sampled_from(dims).flatmap(
+        lambda e: st.tuples(
+            st.just(e),
+            st.lists(
+                st.lists(st.tuples(*([coord] * e)), min_size=1, max_size=3),
+                min_size=1,
+                max_size=8,
+            ),
+        )
+    )
+
+
+def _is_antichain(points) -> bool:
+    return not any(
+        a != b and all(x >= y for x, y in zip(a, b))
+        for a in points
+        for b in points
+    )
+
+
+class TestSkylineCarveSequences:
+    """FR* carves chained from ``{1^e}`` against the literal oracle.
+
+    The kernels skip the survivor checks the antichain invariant makes
+    dead; the oracle ``update_cover(..., skyline_result=True)`` keeps
+    them.  Every tier carves its own previous output, so a divergence
+    at any step compounds instead of hiding behind a one-shot carve.
+    """
+
+    @given(carve_steps())
+    @settings(max_examples=200, deadline=None)
+    def test_every_step_matches_oracle_and_stays_an_antichain(self, steps):
+        from repro.geometry.cover import update_cover
+
+        e, batches = steps
+        oracle = [kernels.ones(e)]
+        covers = {name: [kernels.ones(e)] for name in ["python"] + COMPARE}
+        for batch in batches:
+            oracle = update_cover(oracle, batch, skyline_result=True)
+            assert _is_antichain(oracle)
+            for name in covers:
+                with use_backend(name):
+                    carved = kernels.cover_carve(
+                        covers[name], batch, skyline_mode=True
+                    )
+                covers[name] = [tuple(float(v) for v in p) for p in carved]
+                assert len(set(covers[name])) == len(covers[name]), name
+                assert set(covers[name]) == set(oracle), name
+            # Beyond the point set: every tier emits the same ordered list.
+            for name in COMPARE:
+                assert covers[name] == covers["python"], name
+
+
 class TestGridOps:
     resolutions = st.sampled_from([1, 2, 4, 8, 64])
 
